@@ -10,8 +10,9 @@ on arrays wide enough to amortize dispatch, the same way ispc's wider
 targets amortize instruction count.
 
 The rewrite runs after the whole optimization pipeline, on the final
-module, and is paired with an untouched clone (the *fallback*) that the
-driver stashes in ``module.attrs["batch_fallback"]``:
+module, and is paired with an untouched clone (the *fallback*), taken
+just before the first mutation and stashed in
+``module.attrs["batch_fallback"]``:
 
 * **Structure.**  The canonical gang loop — single scalar induction
   ``p = phi [0, entry], [p + G, latch]`` tested ``icmp ult p, bound`` —
@@ -55,7 +56,7 @@ driver stashes in ``module.attrs["batch_fallback"]``:
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -378,9 +379,11 @@ def _annotate(instr: Instruction, charges: Tuple[Instruction, ...], mult) -> Non
 
 
 def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
-                    module: Module) -> Optional[str]:
+                    module: Module,
+                    before_mutation: Callable[[], None]) -> Optional[str]:
     """Batch one matched gang loop in place; returns a rejection reason or
-    ``None`` on success.  All legality checks run before any mutation."""
+    ``None`` on success.  All legality checks run before any mutation;
+    ``before_mutation`` is called once they have all passed."""
     loop = gl.loop
     gang = gl.gang
     wide = gang * batch
@@ -491,6 +494,7 @@ def _batch_one_loop(function: Function, gl: _GangLoop, batch: int,
                     return "gang-dependent scalar branch"
 
     # ======= point of no return: all checks passed, start mutating ==================
+    before_mutation()
 
     # ---- remainder loop clone (of the still-unmodified loop) -----------------------
     from ..passes.clone import clone_blocks
@@ -696,9 +700,21 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
     """Batch every legal gang loop in ``module`` in place.
 
     Returns a :class:`BatchReport`.  Mutation happens only for loops that
-    pass every legality check; the caller stashes an unbatched clone in
-    ``module.attrs["batch_fallback"]`` when anything was applied.
+    pass every legality check, and an unbatched clone of the module —
+    the trap-replay twin — is taken just before the first one and stashed
+    in ``module.attrs["batch_fallback"]``; a module with nothing to batch
+    is never cloned.
     """
+    from ..passes.clone import clone_module
+
+    module.check_mutable("batch_module")
+    fallback: Optional[Module] = None
+
+    def take_fallback() -> None:
+        nonlocal fallback
+        if fallback is None:
+            fallback = clone_module(module)
+
     applied: List[str] = []
     rejected: List[Tuple[str, str, str]] = []
     factor = 1
@@ -726,7 +742,7 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
                 rejected.append((function.name, gl.loop.header.name,
                                  "gang already at the lane target"))
                 continue
-            reason = _batch_one_loop(function, gl, b, module)
+            reason = _batch_one_loop(function, gl, b, module, take_fallback)
             if reason is None:
                 applied.append(f"{function.name}:{gl.loop.header.name}")
                 factor = max(factor, b)
@@ -736,6 +752,8 @@ def batch_module(module: Module, requested: Optional[int] = None) -> BatchReport
         rejected.append(("<module>", "<none>", "no batchable gang loop found"))
     report = BatchReport(factor=factor if applied else 1,
                          applied=applied, rejected=rejected)
+    if fallback is not None:
+        module.attrs["batch_fallback"] = fallback
     module.attrs["batch_factor"] = report["factor"]
     module.attrs["batch_applied"] = list(applied)
     module.attrs["batch_rejected"] = [

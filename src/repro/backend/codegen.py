@@ -127,7 +127,6 @@ import numpy as np
 
 from .. import diskcache
 from ..ir.cfg import Loop, find_loops, reverse_postorder
-from ..ir.instructions import REDUCE_OPS
 from ..ir.module import BasicBlock, ExternalFunction, Function
 from ..ir.types import FloatType, IntType, VectorType
 from ..ir.values import Constant, UndefValue, Value
@@ -170,14 +169,13 @@ _CODE_CACHE: Dict[str, object] = {}
 #: Hoisted prologue names rebuilt per interpreter (everything else in the
 #: bindings is interpreter-independent or re-derivable from a recipe).
 _FIXED_BINDINGS = frozenset(
-    ("_s", "_c", "_interp", "_mem", "_fname", "_trap", "_exec", "_gac", "_VMTrap")
+    ("_s", "_c", "_L", "_mem", "_fname", "_trap", "_iref", "_gac", "_VMTrap")
 )
 
-#: Ops whose ``_value_impl`` closure captures interpreter state (memory,
-#: or the interpreter itself for cross-lane reduces) and must be rebuilt
-#: when a cached emission rebinds to another interpreter; every other
-#: impl closure depends only on the instruction and is shared.
-_REBIND_OPS = REDUCE_OPS | frozenset(
+#: Ops whose ``_value_impl`` closure captures interpreter memory and must
+#: be rebuilt when a cached emission rebinds to another interpreter; every
+#: other impl closure depends only on the instruction and is shared.
+_REBIND_OPS = frozenset(
     ("load", "store", "vload", "vstore", "gather", "scatter",
      "alloca", "atomicrmw")
 )
@@ -185,7 +183,7 @@ _REBIND_OPS = REDUCE_OPS | frozenset(
 #: Key → [(machine, cost_model, fingerprint, source, recipe, reason)]:
 #: emission (linearization + postdominators) amortizes across fresh
 #: interpreters — and, via the driver's ``emit_key`` stamps, across
-#: fresh compile-cache clones — of the same kernel; only the prologue
+#: ``clone_module`` copies — of the same kernel; only the prologue
 #: names and the memory-capturing impl closures rebind per interpreter.
 #: Stamped structural keys (tuples) live in a capped plain dict;
 #: unstamped functions key the weak side so hand-built IR can't leak.
@@ -346,17 +344,7 @@ class _Emitter:
         self.names: Dict[Value, str] = {}
         for i, arg in enumerate(function.args):
             self.names[arg] = f"a{i}"
-        self.hoisted: Dict[str, object] = {
-            "_s": interp.stats,
-            "_c": interp.stats.counts,
-            "_interp": interp,
-            "_mem": interp.memory,
-            "_fname": function.name,
-            "_trap": _budget_trap,
-            "_exec": interp._exec_function,
-            "_gac": gang_activity_count,
-            "_VMTrap": VMTrap,
-        }
+        self.hoisted: Dict[str, object] = _fixed_bindings(interp, function)
         self._memo: Dict[object, str] = {}
         #: Hoisted name → Instruction for ``_value_impl`` closures, which
         #: may capture this interpreter's memory and must be rebuilt when
@@ -637,7 +625,7 @@ class _Emitter:
             checked = True
         if checked:
             self.line("if _ni > _rem:")
-            self.line("    _trap(_interp, _fname)")
+            self.line("    _trap(_L, _fname)")
 
     # -- value emission ----------------------------------------------------------
 
@@ -795,7 +783,8 @@ class _Emitter:
             fref = self.hoist(callee, key=("fn", callee.name))
             self.line(_FLUSH)
             self.line(
-                f"{self.name_of(ins)} = _exec({fref}, [{args}], depth + 1)"
+                f"{self.name_of(ins)} = _iref()._exec_function("
+                f"{fref}, [{args}], depth + 1)"
             )
             self.line("_rem = _L - _s.instructions")
 
@@ -1212,7 +1201,6 @@ class _Emitter:
         if fn.args:
             names = ", ".join(self.names[a] for a in fn.args)
             head.append(f"    {names}{',' if len(fn.args) == 1 else ''} = _args")
-        head.append("    _L = _interp.max_instructions")
         head.append("    _rem = _L - _s.instructions")
         head.append("    _mk = _mem._brk")
         head.append("    _cy = 0.0")
@@ -1254,14 +1242,18 @@ class _Emitter:
 
 
 def _fixed_bindings(interp, function: Function) -> Dict[str, object]:
+    """Per-interpreter prologue names.  The generated function holds these
+    in its defaults, so none may own the interpreter: the budget binds by
+    value and internal calls re-enter through a weak reference (the
+    interpreter is running, so it is live)."""
     return {
         "_s": interp.stats,
         "_c": interp.stats.counts,
-        "_interp": interp,
+        "_L": interp.max_instructions,
         "_mem": interp.memory,
         "_fname": function.name,
         "_trap": _budget_trap,
-        "_exec": interp._exec_function,
+        "_iref": weakref.ref(interp),
         "_gac": gang_activity_count,
         "_VMTrap": VMTrap,
     }
@@ -1285,9 +1277,9 @@ def _batch_fingerprint(function: Function) -> tuple:
 def _emit_cache_key(function: Function):
     """Cache key stable across ``clone_module`` copies of one function.
 
-    The driver's compile cache hands out a fresh clone per compile call,
-    so object identity never repeats across runs; canonical modules are
-    stamped with a process-unique ``emit_key`` attr that clones inherit.
+    The driver's compile cache stamps the functions of every module it
+    shares with a process-unique ``emit_key`` attr, which clones inherit,
+    so a caller's clone of a cached module reuses its emission.
     Block/instruction counts ride along as a structural guard: a pass
     mutating a clone *after* compilation (extra DCE, a test rewriting
     IR) changes the counts and misses rather than replaying stale code.
@@ -1309,7 +1301,7 @@ def emit_function(interp, function: Function) -> Tuple[str, Dict[str, object]]:
     the function cannot be linearized.  Emissions (and bailouts) are
     cached per function/machine/cost-model/batch-fingerprint — keyed
     structurally (see :func:`_emit_cache_key`), so a fresh interpreter
-    over a fresh compile-cache clone of the same kernel reuses the
+    over the same kernel, or over a ``clone_module`` copy, reuses the
     cached source and only rebinds the prologue names plus the impl
     closures that capture interpreter memory.  The fingerprint match
     keeps a bailout memoized against one batching configuration from
@@ -1391,4 +1383,6 @@ def bind_code(code, bindings: Dict[str, object]):
     # KeyError('__import__').
     g["__builtins__"] = {"__import__": __import__}
     exec(code, g)
-    return g["_kfn"]
+    # Popped, so the namespace does not hold the function that holds it as
+    # ``__globals__`` (a cycle pinning the interpreter's payloads).
+    return g.pop("_kfn")

@@ -500,6 +500,7 @@ def legalize_function(function: Function, machine: Machine,
 def legalize_module(module: Module, machine: Machine) -> bool:
     from ..ir.verifier import verify_function
 
+    module.check_mutable("legalize_module")
     changed = False
     for function in module.functions.values():
         if not function.blocks:

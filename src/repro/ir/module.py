@@ -15,7 +15,14 @@ from .instructions import Instruction
 from .types import FunctionType, Type, VOID
 from .values import Argument, Value
 
-__all__ = ["BasicBlock", "Function", "ExternalFunction", "Module", "SpmdInfo"]
+__all__ = [
+    "BasicBlock",
+    "Function",
+    "ExternalFunction",
+    "Module",
+    "SealedModuleError",
+    "SpmdInfo",
+]
 
 
 class BasicBlock(Value):
@@ -195,8 +202,18 @@ class ExternalFunction(Value):
         return f"<external {self.name}>"
 
 
+class SealedModuleError(RuntimeError):
+    """A transform was handed a sealed module (see :meth:`Module.seal`)."""
+
+
 class Module:
-    """A compilation unit: named functions plus external declarations."""
+    """A compilation unit: named functions plus external declarations.
+
+    A *sealed* module is a shared value: the driver's compile cache hands
+    the same object to every caller, so every module-level transform
+    entry point refuses it (:meth:`check_mutable`).  Transform a
+    ``clone_module`` copy instead; clones start unsealed.
+    """
 
     def __init__(self, name: str = "module"):
         self.name = name
@@ -207,14 +224,29 @@ class Module:
         #: fallback module here).  Cloned shallowly by ``clone_module``
         #: except for keys it knows hold module references.
         self.attrs: Dict[str, object] = {}
+        self.sealed = False
+
+    def seal(self) -> None:
+        """Mark the module read-only for every transform entry point."""
+        self.sealed = True
+
+    def check_mutable(self, what: str) -> None:
+        """Raise :class:`SealedModuleError` naming ``what`` if sealed."""
+        if self.sealed:
+            raise SealedModuleError(
+                f"{what}: module {self.name!r} is sealed (shared by the "
+                f"compile cache); transform clone_module(module) instead"
+            )
 
     def add_function(self, func: Function) -> Function:
+        self.check_mutable("Module.add_function")
         if func.name in self.functions:
             raise ValueError(f"duplicate function name: {func.name}")
         self.functions[func.name] = func
         return func
 
     def add_external(self, ext: ExternalFunction) -> ExternalFunction:
+        self.check_mutable("Module.add_external")
         self.externals[ext.name] = ext
         return ext
 

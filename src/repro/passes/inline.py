@@ -142,6 +142,7 @@ def inline_function_calls(function: Function, should_inline=None) -> bool:
 
 
 def inline_module_calls(module: Module, should_inline=None) -> bool:
+    module.check_mutable("inline_module_calls")
     changed = False
     for function in module.functions.values():
         changed |= inline_function_calls(function, should_inline)

@@ -137,6 +137,7 @@ class PassManager:
             ) from exc
 
     def run(self, module: Module) -> bool:
+        module.check_mutable("PassManager.run")
         changed = False
         paranoid = self._paranoid()
         for pass_ in self.passes:

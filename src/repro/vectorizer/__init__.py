@@ -191,6 +191,7 @@ def vectorize_module(
     horizontal intrinsic in a body the vectorizer rejected): there is no
     correct code to emit for it.
     """
+    module.check_mutable("vectorize_module")
     results = []
     for function in list(module.functions.values()):
         if function.spmd is None or function.name.endswith(".scalarref"):

@@ -72,10 +72,21 @@ elided from the environment when every consumer is inside the same group
 per-instruction env writes and tuple unpacks the dispatch loop otherwise
 pays.
 
-Both engines assume the module is not mutated once execution has started;
-call :meth:`Interpreter.clear_decode_cache` after transforming a function
-that has already run (this also drops fused blocks and decode-time fusion
-counters).  Constant payloads are shared across dynamic uses in
+Both engines assume the module is not mutated once execution has started.
+Modules from the driver's compile cache are sealed, shared values: every
+transform entry point refuses them, so transform a ``clone_module`` copy
+and run it on a fresh interpreter.  For a module of your own, call
+:meth:`Interpreter.clear_decode_cache` after transforming a function that
+has already run (this also drops fused blocks and decode-time fusion
+counters).
+
+Teardown is acyclic: decoded thunks, fused windows and generated kernels
+bind the payloads they use (stats, memory, the instruction budget) and
+reach back into their interpreter only through a weak reference, so
+dropping the last reference to an interpreter frees it and its
+:class:`Memory` by refcount, without waiting for a cyclic collection.
+
+Constant payloads are shared across dynamic uses in
 the decoded engine — no opcode mutates its operand arrays, so this is
 observationally equivalent to the reference engine's fresh-per-use arrays.
 """
@@ -84,6 +95,7 @@ from __future__ import annotations
 
 import operator
 import os
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -195,9 +207,8 @@ _GROUP_OPS = _PURE_OPS | _EXACT_OPS
 _BINOPS = INT_BINOPS | FLOAT_BINOPS
 
 
-def _budget_trap(interp, fname: str):
+def _budget_trap(limit: int, fname: str):
     """Raise the budget trap exactly as the main dispatch loop words it."""
-    limit = interp.max_instructions
     raise ExecutionLimitExceeded(f"exceeded {limit} instructions in @{fname}")
 
 
@@ -348,7 +359,7 @@ class Interpreter:
         self.machine = machine
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.memory = memory or Memory()
-        self.max_instructions = max_instructions
+        self._max_instructions = max_instructions
         self.predecode = predecode
         if superinstructions is None:
             superinstructions = not env_flag("REPRO_NO_FUSE")
@@ -409,6 +420,20 @@ class Interpreter:
         self.shard = None
 
     # -- public API -----------------------------------------------------------------
+
+    @property
+    def max_instructions(self) -> int:
+        """Instruction budget: a run charging more traps with
+        :class:`ExecutionLimitExceeded`."""
+        return self._max_instructions
+
+    @max_instructions.setter
+    def max_instructions(self, limit: int) -> None:
+        # Fused windows and generated kernels bind the budget when they
+        # are built, so a new budget needs fresh decodes.
+        self._max_instructions = limit
+        self.clear_decode_cache()
+        self._fallback_interp = None
 
     def run(self, function, *args):
         """Execute ``function`` (a ``Function`` or name) with Python args."""
@@ -728,7 +753,7 @@ class Interpreter:
         stack_mark = memory._brk  # frame-local alloca discipline
         stats = self.stats
         counts = stats.counts
-        limit = self.max_instructions
+        limit = self._max_instructions
         fuse_hits = self.fuse_hits
         block = function.entry
         prev: Optional[BasicBlock] = None
@@ -1076,7 +1101,7 @@ class Interpreter:
         """
         stats = self.stats
         counts = stats.counts
-        limit = self.max_instructions
+        limit = self._max_instructions
         phis, body, term = batch
         if phis:
             vals = []
@@ -1511,7 +1536,7 @@ class Interpreter:
         hoisted = {
             "_s": stats,
             "_c": stats.counts,
-            "_interp": self,
+            "_lim": self._max_instructions,
             "_repair": _bulk_limit_repair,
             "_trap": _budget_trap,
             "_fh": self.fuse_hits,
@@ -1545,10 +1570,9 @@ class Interpreter:
             lines.append(f"    _s.instructions += {len(meta)}")
             for opc, cnt in opcount.items():
                 lines.append(f"    _c[{opc!r}] = _c.get({opc!r}, 0) + {cnt}")
-            lines.append("    if _s.instructions > _interp.max_instructions:")
+            lines.append("    if _s.instructions > _lim:")
             lines.append(
-                f"        _repair(_s, {hoist(tuple(meta))},"
-                " _interp.max_instructions, _fname)"
+                f"        _repair(_s, {hoist(tuple(meta))}, _lim, _fname)"
             )
 
         def emit_exact_acct(ins):
@@ -1558,8 +1582,8 @@ class Interpreter:
             lines.append("    _s.instructions += 1")
             opc = ins.opcode
             lines.append(f"    _c[{opc!r}] = _c.get({opc!r}, 0) + 1")
-            lines.append("    if _s.instructions > _interp.max_instructions:")
-            lines.append("        _trap(_interp, _fname)")
+            lines.append("    if _s.instructions > _lim:")
+            lines.append("        _trap(_lim, _fname)")
 
         def emit_compute(s, ins):
             argrefs = []
@@ -1626,7 +1650,9 @@ class Interpreter:
         # inside a window would raise KeyError('__import__') without it.
         g["__builtins__"] = {"__import__": __import__}
         exec(code, g)
-        return g["_win"], idioms
+        # Popped, so the namespace does not hold the function that holds
+        # it as ``__globals__`` (a cycle pinning every hoisted payload).
+        return g.pop("_win"), idioms
 
     def _resolver(self, value: Value):
         """A 1-arg callable ``resolver(env)`` producing the operand's payload."""
@@ -1860,12 +1886,16 @@ class Interpreter:
                 cost = float(cost)
                 label = f"ext:{callee.name}"
                 impl = callee.impl
+                charge = self.stats.charge
                 def _ext_call(env, depth):
-                    self.stats.charge(label, cost)
+                    charge(label, cost)
                     return impl(*[r(env) for r in arg_resolvers])
                 return _ext_call
+            # Weak: a thunk owning ``self`` would close a cycle through the
+            # decode cache.  The interpreter is running, so ``ref()`` is live.
+            ref = weakref.ref(self)
             def _call(env, depth):
-                return self._exec_function(
+                return ref()._exec_function(
                     callee, [r(env) for r in arg_resolvers], depth + 1
                 )
             return _call
@@ -1894,9 +1924,9 @@ class Interpreter:
                     stats.cycles += cost * m
                     stats.instructions += m
                     counts[key] = counts.get(key, 0) + m
-                if stats.instructions > self.max_instructions:
+                if stats.instructions > self._max_instructions:
                     raise ExecutionLimitExceeded(
-                        f"exceeded {self.max_instructions} instructions"
+                        f"exceeded {self._max_instructions} instructions"
                         f" in @{function.name}"
                     )
 
@@ -1918,9 +1948,9 @@ class Interpreter:
                             charge_batched(instr)
                         else:
                             stats.charge("phi", 0.0)
-                            if stats.instructions > self.max_instructions:
+                            if stats.instructions > self._max_instructions:
                                 raise ExecutionLimitExceeded(
-                                    f"exceeded {self.max_instructions} instructions"
+                                    f"exceeded {self._max_instructions} instructions"
                                     f" in @{function.name}"
                                 )
                     for instr, val in zip(instructions[:n_phi], phi_vals):
@@ -1931,9 +1961,9 @@ class Interpreter:
                         charge_batched(instr)
                     else:
                         stats.charge(instr.opcode, self._cost(instr))
-                        if stats.instructions > self.max_instructions:
+                        if stats.instructions > self._max_instructions:
                             raise ExecutionLimitExceeded(
-                                f"exceeded {self.max_instructions} instructions in @{function.name}"
+                                f"exceeded {self._max_instructions} instructions in @{function.name}"
                             )
                     op = instr.opcode
                     if op == "br":
@@ -2120,7 +2150,8 @@ class Interpreter:
 
         raise NotImplementedError(f"interpreter: opcode {op}")
 
-    def _reduce(self, op: str, instr: Instruction, v: np.ndarray):
+    @staticmethod
+    def _reduce(op: str, instr: Instruction, v: np.ndarray):
         elem = instr.operands[0].type.elem
         if op == "reduce_add":
             if elem.is_float:

@@ -206,9 +206,9 @@ def test_math_call_blocks_vectorization_without_veclib():
 
     from repro.autovec import AutoVecConfig, auto_vectorize_module
     from repro.driver import compile_scalar
-    from repro.passes import standard_pipeline
+    from repro.passes import clone_module, standard_pipeline
 
-    module = compile_scalar(src)
+    module = clone_module(compile_scalar(src))
     auto_vectorize_module(module, AVX512, AutoVecConfig(vector_math=True))
     standard_pipeline().run(module)
     _, (_, y_out), interp = run_with_arrays(module, "vexp", [x, y], (32,))
