@@ -70,9 +70,10 @@ def _run_once(session, spec, config):
     """
     no_batch = config in ("predecoded", "fused")
     fuse = config != "predecoded"
-    # Explicit False freezes ambient REPRO_CODEGEN out of the ladder
-    # configs; the autotuned config passes None so the tuner owns the
-    # codegen leg along with the batch factor.
+    # Explicit False pins the ladder configs to the decoded engine (the
+    # default would tier a reused kernel up to codegen); the autotuned
+    # config passes None so the tuner owns the codegen leg along with the
+    # batch factor.
     codegen = {"codegen": True, "autotuned": None}.get(config, False)
     try:
         if no_batch:

@@ -5,9 +5,10 @@
                                   [--out telemetry.json] [--autotune]
 
 Runs each selected kernel under the pre-decoded VM in four configurations
-— batched+fused (the default engine), batched+unfused, unbatched+fused
-(``REPRO_NO_BATCH=1``), and whole-kernel codegen (``codegen=True``, the
-top of the engine ladder) — and **fails (exit 1)** if:
+— batched+fused, batched+unfused, unbatched+fused (``REPRO_NO_BATCH=1``),
+each pinned to the decoded engine (``codegen=False``), and whole-kernel
+codegen (``codegen=True``, the engine the default tiers a reused kernel
+up to) — and **fails (exit 1)** if:
 
 * any configuration's outputs diverge bit-for-bit from any other,
 * any configuration's ``ExecStats`` (cycles, instructions, per-opcode
@@ -88,9 +89,12 @@ def _outputs_equal(a, b):
 
 def _timed_pair(session, spec, impl, superinstructions):
     """Two reps; min() reports steady-state dispatch cost (the first run
-    also pays one-time decode/window/batch codegen)."""
-    run_impl(spec, impl, superinstructions=superinstructions)
-    result = run_impl(spec, impl, superinstructions=superinstructions)
+    also pays one-time decode/window/batch codegen).  Pinned to the
+    decoded engine (``codegen=False``): the second launch of a module
+    would otherwise tier up to whole-kernel codegen."""
+    run_impl(spec, impl, superinstructions=superinstructions, codegen=False)
+    result = run_impl(spec, impl, superinstructions=superinstructions,
+                      codegen=False)
     runs = session.vm_runs[-2:]
     wall = min(r.get("wall_seconds") or 0.0 for r in runs)
     return result, runs[-1], wall
@@ -140,7 +144,6 @@ def main():
     saved_no_batch = os.environ.get("REPRO_NO_BATCH")
     saved_autotune = os.environ.get("REPRO_AUTOTUNE")
     saved_shards = os.environ.get("REPRO_SHARDS")
-    saved_codegen = os.environ.get("REPRO_CODEGEN")
     saved_no_codegen = os.environ.get("REPRO_NO_CODEGEN")
     with telemetry.collect() as session:
         for spec in specs:
@@ -152,7 +155,6 @@ def main():
                 os.environ.pop("REPRO_NO_BATCH", None)
                 os.environ.pop("REPRO_AUTOTUNE", None)
                 os.environ.pop("REPRO_SHARDS", None)
-                os.environ.pop("REPRO_CODEGEN", None)
                 os.environ.pop("REPRO_NO_CODEGEN", None)
                 fused, fused_run, wall_f = _timed_pair(
                     session, spec, impl, superinstructions=True)
@@ -172,7 +174,8 @@ def main():
                 walls_cgb, walls_cg = [], []
                 cgres = cg_run = None
                 for _ in range(3):
-                    run_impl(spec, impl, superinstructions=True)
+                    run_impl(spec, impl, superinstructions=True,
+                             codegen=False)
                     walls_cgb.append(
                         session.vm_runs[-1].get("wall_seconds") or 0.0)
                     cgres = run_impl(spec, impl, superinstructions=True,
@@ -205,7 +208,8 @@ def main():
                     for _ in range(3):
                         try:
                             os.environ["REPRO_NO_BATCH"] = "1"
-                            run_impl(spec, impl, superinstructions=True)
+                            run_impl(spec, impl, superinstructions=True,
+                                     codegen=False)
                         finally:
                             os.environ.pop("REPRO_NO_BATCH", None)
                         walls_nbi.append(
@@ -236,7 +240,8 @@ def main():
                     plans = faultinject.plans_from_env()
                     with faultinject.inject(*plans) as fstate:
                         shard_base = run_impl(spec, impl,
-                                              superinstructions=True)
+                                              superinstructions=True,
+                                              codegen=False)
                         try:
                             os.environ["REPRO_SHARDS"] = str(args.shards)
                             shard_result = run_impl(spec, impl,
@@ -380,8 +385,6 @@ def main():
         os.environ["REPRO_AUTOTUNE"] = saved_autotune
     if saved_shards is not None:
         os.environ["REPRO_SHARDS"] = saved_shards
-    if saved_codegen is not None:
-        os.environ["REPRO_CODEGEN"] = saved_codegen
     if saved_no_codegen is not None:
         os.environ["REPRO_NO_CODEGEN"] = saved_no_codegen
 

@@ -37,7 +37,9 @@ MACHINES = [
 
 
 def run(machine, legalized):
-    module = compile_parsimony(SRC)
+    # Unbatched: legalization refuses gang-batched modules, whose batched
+    # instructions carry per-item charges a split would lose.
+    module = compile_parsimony(SRC, batch_request=0)
     if legalized:
         # Compiled modules are shared and sealed; legalize a private copy.
         module = clone_module(module)

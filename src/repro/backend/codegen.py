@@ -108,14 +108,17 @@ Caching
 Generated source embeds only structure (costs as literals, opcode
 strings, batch factors, hoisted-name wiring); payloads and impls bind at
 ``exec`` time through default arguments, so the *code object* is
-shareable.  Sources are cached process-wide and the compiled code
-objects persist across processes via :mod:`repro.diskcache`
-(``store_code``/``load_code``).  Because batch-specialized and generic
-emissions of one kernel differ only in attrs (not block/instruction
-counts), emission-cache entries additionally carry a **batch
-fingerprint** — the ``batched`` attr plus the count of annotated
-instructions — so a bailout or emission memoized against one batching
-configuration never answers for another.
+shareable.  Each function memoizes its own emissions and bailouts in
+``Function.emit_memo``: the compile cache hands every caller the same
+sealed module, so every interpreter over it shares one memo, and the
+memo is freed with the module; ``clone_module`` and pickled copies
+start with an empty one.  A memo entry is guarded by the
+function's block/instruction counts and a **batch fingerprint** — the
+``batched`` attr plus the count of annotated instructions — so an
+emission or bailout memoized against one shape or batching
+configuration never answers for another.  Sources map to compiled code
+objects process-wide, and the code objects persist across processes via
+:mod:`repro.diskcache` (``store_code``/``load_code``).
 """
 
 from __future__ import annotations
@@ -178,21 +181,6 @@ _FIXED_BINDINGS = frozenset(
 _REBIND_OPS = frozenset(
     ("load", "store", "vload", "vstore", "gather", "scatter",
      "alloca", "atomicrmw")
-)
-
-#: Key → [(machine, cost_model, fingerprint, source, recipe, reason)]:
-#: emission (linearization + postdominators) amortizes across fresh
-#: interpreters — and, via the driver's ``emit_key`` stamps, across
-#: ``clone_module`` copies — of the same kernel; only the prologue
-#: names and the memory-capturing impl closures rebind per interpreter.
-#: Stamped structural keys (tuples) live in a capped plain dict;
-#: unstamped functions key the weak side so hand-built IR can't leak.
-#: ``fingerprint`` guards against attrs-only batching mutations that
-#: leave block/instruction counts unchanged (see :func:`_batch_fingerprint`).
-_EMIT_CACHE: Dict[tuple, list] = {}
-_EMIT_CACHE_CAPACITY = 512
-_EMIT_CACHE_BY_FN: "weakref.WeakKeyDictionary[Function, list]" = (
-    weakref.WeakKeyDictionary()
 )
 
 #: Vector-op inline templates.  Each form must be bit-identical to the
@@ -1264,7 +1252,7 @@ def _batch_fingerprint(function: Function) -> tuple:
     (the batch factor, or ``None``) and the number of annotated
     instructions.  Attrs-only mutations — stripping or re-running the
     batch pass on the same clone — leave block/instruction counts
-    untouched, so the structural key alone would replay a stale emission
+    untouched, so the count guard alone would replay a stale emission
     (or worse, a stale *bailout*) for a configuration it never saw."""
     n = 0
     for b in function.blocks:
@@ -1274,70 +1262,60 @@ def _batch_fingerprint(function: Function) -> tuple:
     return (function.attrs.get("batched"), n)
 
 
-def _emit_cache_key(function: Function):
-    """Cache key stable across ``clone_module`` copies of one function.
-
-    The driver's compile cache stamps the functions of every module it
-    shares with a process-unique ``emit_key`` attr, which clones inherit,
-    so a caller's clone of a cached module reuses its emission.
-    Block/instruction counts ride along as a structural guard: a pass
-    mutating a clone *after* compilation (extra DCE, a test rewriting
-    IR) changes the counts and misses rather than replaying stale code.
-    Unstamped functions (hand-built IR, fault-injected compiles) fall
-    back to object identity.
-    """
-    stamp = function.attrs.get("emit_key")
-    if stamp is None:
-        return function
-    nblocks = len(function.blocks)
-    ninstrs = sum(len(b.instructions) for b in function.blocks)
-    return (stamp, nblocks, ninstrs)
-
-
 def emit_function(interp, function: Function) -> Tuple[str, Dict[str, object]]:
     """Linearize ``function`` against ``interp``'s machine/cost bindings.
 
     Returns ``(source, bindings)``; raises :class:`CodegenBailout` when
     the function cannot be linearized.  Emissions (and bailouts) are
-    cached per function/machine/cost-model/batch-fingerprint — keyed
-    structurally (see :func:`_emit_cache_key`), so a fresh interpreter
-    over the same kernel, or over a ``clone_module`` copy, reuses the
-    cached source and only rebinds the prologue names plus the impl
-    closures that capture interpreter memory.  The fingerprint match
-    keeps a bailout memoized against one batching configuration from
-    suppressing emission for another (attrs-only mutations leave the
-    structural key unchanged).
+    memoized on the function itself (``function.emit_memo``), per
+    machine/cost-model/guard, so a fresh interpreter over the same
+    kernel — every interpreter over a shared compile-cache module —
+    reuses the source and only rebinds the prologue names plus the impl
+    closures that capture interpreter memory.  The memo lives and dies
+    with the function: ``clone_module`` copies start without one, and no
+    process-wide table pins a module the compile cache has dropped.
+
+    The guard is the block/instruction counts plus the batch
+    fingerprint: a pass mutating the function after emission (extra
+    DCE, a test rewriting IR) changes the counts, and attrs-only
+    batching mutations change the fingerprint, so either misses instead
+    of replaying a stale emission or bailout; the new entry replaces the
+    stale one.  Edits the guard cannot see (an operand or opcode
+    rewritten in place) need ``Interpreter.clear_decode_cache``, which
+    drops the memos of an unsealed module.
     """
-    key = _emit_cache_key(function)
-    cache = _EMIT_CACHE if isinstance(key, tuple) else _EMIT_CACHE_BY_FN
-    if cache is _EMIT_CACHE and len(cache) >= _EMIT_CACHE_CAPACITY:
-        # Stamps of compile-cache-evicted modules accumulate; a blunt
-        # reset only costs re-emission, never correctness.
-        cache.clear()
-    fingerprint = _batch_fingerprint(function)
-    entries = cache.get(key)
-    if entries is not None:
-        for machine, cost_model, fp, source, recipe, reason in entries:
-            if (
-                machine is interp.machine
-                and cost_model is interp.cost_model
-                and fp == fingerprint
-            ):
-                if reason is not None:
-                    raise CodegenBailout(reason)
-                bindings = _fixed_bindings(interp, function)
-                for name, ins, obj in recipe:
-                    bindings[name] = (
-                        obj if ins is None else interp._value_impl(ins)
-                    )
-                return source, bindings
+    guard = (
+        len(function.blocks),
+        sum(len(b.instructions) for b in function.blocks),
+        _batch_fingerprint(function),
+    )
+    memo = function.emit_memo
+    for machine, cost_model, g, source, recipe, reason in memo:
+        if (
+            machine is interp.machine
+            and cost_model is interp.cost_model
+            and g == guard
+        ):
+            if reason is not None:
+                raise CodegenBailout(reason)
+            bindings = _fixed_bindings(interp, function)
+            for name, ins, obj in recipe:
+                bindings[name] = (
+                    obj if ins is None else interp._value_impl(ins)
+                )
+            return source, bindings
+    # A guard miss supersedes this machine/cost model's old entry, so the
+    # memo holds at most one per pair however often the function changes.
+    memo[:] = [
+        e for e in memo
+        if e[0] is not interp.machine or e[1] is not interp.cost_model
+    ]
     emitter = _Emitter(interp, function)
     try:
         source, bindings = emitter.emit()
     except CodegenBailout as exc:
-        cache.setdefault(key, []).append(
-            (interp.machine, interp.cost_model, fingerprint, None, None,
-             exc.reason)
+        memo.append(
+            (interp.machine, interp.cost_model, guard, None, None, exc.reason)
         )
         raise
     # Impl-closure entries store only the Instruction (the closure itself
@@ -1348,8 +1326,8 @@ def emit_function(interp, function: Function) -> Tuple[str, Dict[str, object]]:
         if name not in _FIXED_BINDINGS
         for ins in (emitter.impl_instrs.get(name),)
     )
-    cache.setdefault(key, []).append(
-        (interp.machine, interp.cost_model, fingerprint, source, recipe, None)
+    memo.append(
+        (interp.machine, interp.cost_model, guard, source, recipe, None)
     )
     return source, bindings
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..diagnostics import CompileError
 from ..ir import Constant, Function, Instruction, Module, UndefValue, Value
 from ..ir.cfg import reverse_postorder
 from ..ir.instructions import (
@@ -498,9 +499,28 @@ def legalize_function(function: Function, machine: Machine,
 
 
 def legalize_module(module: Module, machine: Machine) -> bool:
+    """Legalize every function of ``module`` for ``machine`` in place.
+
+    Refuses a gang-batched module with :class:`CompileError`: split
+    instructions would lose the ``batch_charges``/``batch_mult``
+    annotations the VM charges batched code by.  Legalize an unbatched
+    build (``compile_parsimony(..., batch_request=0)``) or a clone of the
+    module's ``batch_fallback`` twin instead.
+    """
     from ..ir.verifier import verify_function
 
     module.check_mutable("legalize_module")
+    batched = [f.name for f in module.functions.values()
+               if f.attrs.get("batched")]
+    if batched:
+        raise CompileError(
+            f"legalize_module: module {module.name!r} is gang-batched "
+            f"(@{', @'.join(batched)}); legalize an unbatched build "
+            f"(batch_request=0) or its batch_fallback twin instead",
+            stage="backend",
+            pass_name="legalize",
+            detail={"batched_functions": batched},
+        )
     changed = False
     for function in module.functions.values():
         if not function.blocks:

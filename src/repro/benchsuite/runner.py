@@ -202,7 +202,8 @@ def run_impl(spec: KernelSpec, impl: str, machine: Machine = AVX512,
     ``superinstructions`` forwards to the interpreter's decode-level
     fusion toggle (``None`` → default on, ``REPRO_NO_FUSE`` honored);
     ``codegen`` forwards to the whole-kernel codegen engine toggle
-    (``None`` → ``REPRO_CODEGEN``/``REPRO_NO_CODEGEN`` honored).
+    (``None`` → the default tier rule: codegen from a module's second
+    launch on, ``REPRO_NO_CODEGEN`` honored).
 
     With ``REPRO_AUTOTUNE=1`` (and no explicit ``REPRO_BATCH`` /
     ``REPRO_NO_BATCH`` override, which always wins), the parsimony

@@ -17,8 +17,6 @@ plus :class:`~repro.backend.machine.ExecStats` (the measurement harness).
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import uuid
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
@@ -64,30 +62,16 @@ __all__ = [
 # ``clone_module`` copy first and later hits stay untouched.  Raw edits
 # that bypass the entry points (``module.functions.clear()``, attr pokes)
 # are caught under ``REPRO_PARANOID``: each hit re-fingerprints the module
-# against the fingerprint taken at insertion.
+# against the fingerprint taken at insertion.  Because hits share one
+# object, the VM state kept on its functions (launch counts that tier a
+# reused kernel up to codegen, codegen emission memos) is shared by every
+# interpreter over the module and freed with it.
 
 #: Key -> (sealed module, paranoid fingerprint or ``None``).
 _COMPILE_CACHE: "OrderedDict[tuple, Tuple[Module, Optional[int]]]" = OrderedDict()
 _COMPILE_CACHE_CAPACITY = 64
 _COMPILE_CACHE_ENABLED = True
 _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0}
-
-# Canonical functions get a process-unique ``emit_key`` attr at insertion,
-# giving downstream structural caches — the whole-kernel codegen emission
-# cache — a key that ``clone_module`` copies inherit (clones copy attrs),
-# so a caller's clone of a hit reuses the hit's emission.  The uuid
-# namespace keeps keys from ever colliding with a key another process
-# persisted inside a module.
-_EMIT_KEY_NS = uuid.uuid4().hex[:12]
-_EMIT_KEY_SEQ = itertools.count()
-
-
-def _stamp_emit_keys(module: Module) -> None:
-    for function in module.functions.values():
-        function.attrs.setdefault(
-            "emit_key", f"{_EMIT_KEY_NS}:{next(_EMIT_KEY_SEQ)}"
-        )
-
 
 def set_compile_cache(enabled: bool) -> None:
     """Globally enable/disable compile memoization (enabled by default)."""
@@ -166,9 +150,6 @@ def _cached_compile(key: tuple, build: Callable[[], Module]) -> Module:
     if module is None:
         module = build()
         diskcache.store(key, module)
-    # Stamp after the disk store: emit keys are process-local, and a
-    # persisted copy must rehydrate unstamped in other processes.
-    _stamp_emit_keys(module)
     module.seal()
     twin = module.attrs.get("batch_fallback")
     if twin is not None:

@@ -1,7 +1,7 @@
 """Shared boolean environment-flag parsing with structured diagnostics.
 
-Engine escape hatches (``REPRO_NO_FUSE``, ``REPRO_NO_CODEGEN``,
-``REPRO_CODEGEN``, ...) are booleans, but they historically parsed with
+Engine escape hatches (``REPRO_NO_FUSE``, ``REPRO_NO_CODEGEN``, ...)
+are booleans, but they historically parsed with
 ``value in ("1", "true")`` — which silently *ignores* a misspelled value
 like ``REPRO_NO_FUSE=yes`` and runs the engine the user asked to turn
 off.  An unparsable value is a misconfiguration, not a silent request

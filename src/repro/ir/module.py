@@ -120,7 +120,14 @@ class Function(Value):
 
     ``spmd`` holds the :class:`SpmdInfo` annotation for outlined SPMD region
     functions (``None`` for ordinary scalar functions).
+
+    ``launches`` and ``emit_memo`` are VM state tied to this object's
+    lifetime, not IR: ``clone_function`` starts them fresh, pickling drops
+    them, and they are not ``attrs``, so no IR fingerprint sees them.
     """
+
+    #: Per-object VM state reset on unpickle (see :meth:`__getstate__`).
+    _VM_STATE = ("launches", "emit_memo")
 
     def __init__(self, name: str, ftype: FunctionType, arg_names=None):
         super().__init__(ftype, name)
@@ -134,6 +141,25 @@ class Function(Value):
         self.attrs: Dict = {}
         self._name_counter = itertools.count()
         self._used_names: set = set()
+        self._reset_vm_state()
+
+    def _reset_vm_state(self) -> None:
+        #: Top-level launches by codegen-enabled interpreters; the VM tiers
+        #: a reused function up to whole-kernel codegen from this count.
+        self.launches = 0
+        #: Whole-kernel codegen emissions and bailouts of this function
+        #: (see ``repro.backend.codegen.emit_function``).
+        self.emit_memo: list = []
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for key in self._VM_STATE:
+            state.pop(key, None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._reset_vm_state()
 
     @property
     def return_type(self) -> Type:

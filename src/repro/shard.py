@@ -79,8 +79,10 @@ Limitations (documented contract):
   disarmed under a shard controller: codegen only arms inside the
   replayable wrapper, which sharded runs bypass, so workers execute the
   decoded engine — the controller's per-dispatch interception has no
-  seam in a compiled kernel body.  ``REPRO_CODEGEN`` is therefore a
-  no-op for the sharded portion of a launch, by design.
+  seam in a compiled kernel body.  Sharded launches therefore neither
+  tier up to codegen nor count toward a function's tier-up launches; a
+  launch that runs wholly in-process instead (rejected, or failed over)
+  takes the default engine, codegen included.
 """
 
 from __future__ import annotations

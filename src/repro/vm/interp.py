@@ -27,6 +27,15 @@ bit-identical ``ExecStats``:
   opcode-string dispatch loop, kept as the executable specification the
   equivalence tests compare against.
 
+On top of the pre-decoded engine, the **whole-kernel codegen** engine
+(:mod:`repro.backend.codegen`) runs reused kernels: by default
+(``codegen=None``) a function's first top-level launch runs decoded and
+every later launch of the same ``Function`` object runs generated code.
+The launch count lives on the function, so every interpreter over a
+shared compile-cache module sees it.  ``codegen=True`` arms codegen
+from the first launch; ``codegen=False`` or ``REPRO_NO_CODEGEN=1`` (which
+beats everything) keeps the decoded engine.
+
 Superinstructions
 -----------------
 
@@ -147,6 +156,12 @@ class ExecutionLimitExceeded(VMTrap):
 
 
 _MAX_CALL_DEPTH = 256
+
+#: Under the default engine a function's first top-level launch runs
+#: decoded and later ones run whole-kernel codegen: emission plus
+#: ``compile()`` costs about 7–12 ms per kernel, which a run-once kernel
+#: never earns back.
+_TIER_UP_LAUNCHES = 1
 
 #: Sentinel distinguishing "never attempted" from a sticky ``None``
 #: bailout in the per-function codegen memo.
@@ -364,8 +379,10 @@ class Interpreter:
         if superinstructions is None:
             superinstructions = not env_flag("REPRO_NO_FUSE")
         self.superinstructions = superinstructions
-        if codegen is None:
-            codegen = env_flag("REPRO_CODEGEN")
+        #: Earlier top-level launches a function needs before codegen arms
+        #: for it: the default tiers reused kernels up, ``codegen=True``
+        #: arms from the first launch.
+        self._codegen_after = _TIER_UP_LAUNCHES if codegen is None else 0
         if env_flag("REPRO_NO_CODEGEN"):
             # The escape hatch beats everything, including an explicit
             # ``codegen=True`` — it must restore the prior engine exactly.
@@ -374,7 +391,7 @@ class Interpreter:
         #: linearized functions bypass the dispatch loop entirely.  Rides
         #: on top of predecode (the decoded engine stays the bailout and
         #: trap-replay fallback).
-        self.codegen = bool(codegen) and predecode
+        self.codegen = bool(codegen is None or codegen) and predecode
         self.stats = ExecStats()
         #: Exclusive (self-only) cycles per function name, for hot-spot telemetry.
         self.func_cycles: Dict[str, float] = {}
@@ -450,21 +467,26 @@ class Interpreter:
             # Sharded runs bypass trap replay: a shard that traps fails the
             # whole launch over to the supervisor's full in-process rerun,
             # which takes this path and is authoritative.
-            batch_twin = self.module.attrs.get("batch_fallback")
-            if batch_twin is not None:
-                return self._run_replayable(function, argvals, args, batch_twin)
+            codegen = False
             if self.codegen:
-                # Codegen traps replay on the predecoded twin of the same
-                # module, so trap identity / trap-point stats / memory
-                # effects are authoritative even across emission seams.
+                launches = function.launches
+                function.launches = launches + 1
+                codegen = launches >= self._codegen_after
+            batch_twin = self.module.attrs.get("batch_fallback")
+            if batch_twin is not None or codegen:
+                # Traps replay on the unbatched twin, or on the predecoded
+                # engine over this module, so trap identity / trap-point
+                # stats / memory effects are authoritative even across
+                # emission seams.
+                fallback = self.module if batch_twin is None else batch_twin
                 return self._run_replayable(
-                    function, argvals, args, self.module
+                    function, argvals, args, fallback, codegen
                 )
         return self._exec_function(function, argvals, depth=0)
 
     def _run_replayable(
         self, function: Function, argvals: List, args,
-        fallback_module: Module,
+        fallback_module: Module, codegen: bool,
     ):
         """Top-level run with the gang-batching trap-replay contract.
 
@@ -474,11 +496,12 @@ class Interpreter:
         the pre-run state and replays the call wholesale on
         ``fallback_module`` — the unbatched twin stashed in
         ``module.attrs["batch_fallback"]``, or the module itself under
-        the codegen engine (the fallback interpreter always runs with
-        ``codegen=False``, i.e. the predecoded twin).  The replay's
-        outcome — result or trap — is authoritative, so trap identity,
-        trap-point ``ExecStats``, and attribution all match the fallback
-        engine bit-for-bit.  Skipped under active fault injection: the
+        the codegen engine (``codegen`` arms it for this launch; the
+        fallback interpreter always runs with ``codegen=False``, i.e. the
+        predecoded twin).  The replay's outcome — result or trap — is
+        authoritative, so trap identity, trap-point ``ExecStats``, and
+        attribution all match the fallback engine bit-for-bit.  Skipped
+        under active fault injection: the
         driver never batches then, and replaying would double-fire
         one-shot fault plans.
         """
@@ -492,7 +515,7 @@ class Interpreter:
             dict(self.edge_cycles), dict(self.edge_calls),
             dict(self.fuse_hits), self._child_cycles,
         )
-        self._codegen_armed = self.codegen
+        self._codegen_armed = codegen
         try:
             return self._exec_function(function, argvals, depth=0)
         except (VMTrap, MemoryError_):
@@ -576,13 +599,21 @@ class Interpreter:
 
         Fused blocks are invalidated along with plain ones; the decode-time
         fusion site counters reset with them (dynamic ``fuse_hits`` are run
-        counters and belong to :meth:`reset_stats` instead).
+        counters and belong to :meth:`reset_stats` instead).  On an
+        unsealed module the functions' codegen emission memos are dropped
+        too: their guard sees only block/instruction counts and batching,
+        so an in-place operand or opcode edit would replay stale code.  A
+        sealed module is never edited, and its memos are shared by every
+        interpreter over it.
         """
         self._decoded.clear()
         self._cost_cache.clear()
         self._batch_cache.clear()
         self.fuse_static.clear()
         self._codegen_fns.clear()
+        if not self.module.sealed:
+            for function in self.module.functions.values():
+                function.emit_memo.clear()
         self.codegen_bailouts.clear()
         for key in ("compiles", "cache_hits", "disk_hits"):
             self.codegen_stats[key] = 0

@@ -16,6 +16,7 @@ import pytest
 
 from repro.backend import AVX2, AVX512, SSE4
 from repro.backend.legalize import legalize_module
+from repro.diagnostics import CompileError
 from repro.driver import compile_parsimony
 from repro.ir import VectorType, verify_module
 from repro.passes import clone_module
@@ -67,6 +68,12 @@ KERNELS = {
 }
 
 
+# Legalization refuses gang-batched modules, so the legalized copies below
+# come from unbatched builds (batch_request=0).  The default builds they are
+# compared with may be batched: batching leaves outputs and ExecStats
+# unchanged, by contract.
+
+
 def run(module, machine):
     interp = Interpreter(module, machine=machine)
     rng = np.random.default_rng(0)
@@ -83,7 +90,7 @@ def test_legalized_code_matches_unlegalized(name, machine):
     src = KERNELS[name]
     reference, _ = run(compile_parsimony(src), machine)
 
-    module = clone_module(compile_parsimony(src))
+    module = clone_module(compile_parsimony(src, batch_request=0))
     assert legalize_module(module, machine)
     verify_module(module)
     got, _ = run(module, machine)
@@ -92,7 +99,8 @@ def test_legalized_code_matches_unlegalized(name, machine):
 
 @pytest.mark.parametrize("machine", [SSE4, AVX2], ids=["sse4", "avx2"])
 def test_no_wide_vectors_remain(machine):
-    module = clone_module(compile_parsimony(KERNELS["elementwise"]))
+    module = clone_module(
+        compile_parsimony(KERNELS["elementwise"], batch_request=0))
     legalize_module(module, machine)
     for function in module.functions.values():
         if ".scalarref" in function.name:
@@ -116,7 +124,7 @@ def test_cost_model_matches_real_legalization(name):
     src = KERNELS[name]
     machine = AVX2  # gang 64 x u8 = 512b -> 2 chunks
     _, modeled = run(compile_parsimony(src), machine)
-    module = clone_module(compile_parsimony(src))
+    module = clone_module(compile_parsimony(src, batch_request=0))
     legalize_module(module, machine)
     _, measured = run(module, machine)
     ratio = measured.cycles / modeled.cycles
@@ -146,3 +154,24 @@ def test_already_narrow_code_untouched(monkeypatch):
     # gang 8: even the tail variant's i64 lane-index vectors fit in 512b
     module = clone_module(compile_parsimony(src))
     assert not legalize_module(module, AVX512)
+
+
+def test_batched_module_refused():
+    """Split instructions would lose the per-item charges batched code is
+    billed by, so a gang-batched module is refused loudly; its unbatched
+    ``batch_fallback`` twin legalizes."""
+    src = """
+    void kernel(f32* x, f32* y, u64 n) {
+        psim (gang_size=8, num_threads=n) {
+            u64 i = psim_get_thread_num();
+            y[i] = x[i] + 1.0f;
+        }
+    }
+    """
+    batched = compile_parsimony(src, batch_request=2)
+    assert batched.attrs.get("batch_applied"), batched.attrs.get("batch_rejected")
+    with pytest.raises(CompileError, match="gang-batched"):
+        legalize_module(clone_module(batched), SSE4)
+    twin = clone_module(batched.attrs["batch_fallback"])
+    assert legalize_module(twin, SSE4)
+    verify_module(twin)

@@ -22,12 +22,15 @@ scalarized — so for those the degraded legs must raise ``CompileError``
 instead of falling back (tallied as the ``sync`` corpus bucket); the
 vector-engine differentials below still apply to them.
 
-Every fifth seed additionally runs the plain module through the
-**whole-kernel codegen** engine (``Interpreter(codegen=True)``, see
-``repro.backend.codegen``) and compares outputs *and* ``ExecStats``
-bitwise against the decoded engine: codegen is accounting-transparent by
-contract.  Bailouts are legal (the kernel silently runs decoded) but
-tallied, so a corpus where codegen never compiles fails the suite.
+Every seed's plain module is also launched twice on the default
+``Interpreter`` — the path that ships: the first launch runs the decoded
+engine, the second tiers up to **whole-kernel codegen** (see
+``repro.backend.codegen``).  Both are compared bitwise, in outputs *and*
+``ExecStats``, against the reference engine
+(``Interpreter(predecode=False)``): every engine is accounting-transparent
+by contract.  Codegen bailouts are legal (the kernel silently runs
+decoded) but tallied, so a corpus where codegen never compiles fails the
+suite.
 
 Every third seed additionally pits a **gang-batched** build (forced
 ``REPRO_BATCH=2`` — auto selection would pick a batch too wide for 37
@@ -76,13 +79,10 @@ _BATCH_EVERY = 3
 #: assert the batching layer actually engages on the fuzz corpus.
 _BATCH_CORPUS = {"batched": 0, "rejected": 0}
 
-#: Every Nth seed also runs the forced-codegen differential below.
-_CODEGEN_EVERY = 5
-
-#: Tally of how the codegen compiles landed, so the suite can assert the
+#: Tally of how the codegen tier landed, so the suite can assert the
 #: whole-kernel engine actually compiles fuzz kernels (bailouts are legal
 #: but a corpus that only bails fuzzes a dead engine).  ``shuffle``
-#: counts codegen-leg kernels carrying cross-lane exchanges, so the leg
+#: counts kernels carrying cross-lane exchanges, so the tier
 #: provably exercises them.
 _CODEGEN_CORPUS = {"compiled": 0, "bailed": 0, "shuffle": 0}
 
@@ -107,8 +107,13 @@ def _xproc_cache_dir():
 
 
 def _run(module, seed):
+    outputs, interp = _launch(module, seed)
+    return outputs, interp.stats
+
+
+def _launch(module, seed, **engine):
     A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
-    interp = Interpreter(module)
+    interp = Interpreter(module, **engine)
     a = interp.memory.alloc_array(A)
     b = interp.memory.alloc_array(B)
     c = interp.memory.alloc_array(C)
@@ -119,7 +124,7 @@ def _run(module, seed):
         interp.memory.read_array(out, np.float32, N_THREADS),
         interp.memory.read_array(iout, np.int32, N_THREADS),
     )
-    return outputs, interp.stats
+    return outputs, interp
 
 
 def _classify(module):
@@ -137,13 +142,21 @@ def _assert_same(got, want, context):
     np.testing.assert_array_equal(got[1], want[1], err_msg=f"{context}: IOUT")
 
 
+def _assert_same_stats(got, want, context):
+    assert got.cycles == want.cycles, f"cycles diverge: {context}"
+    assert got.instructions == want.instructions, (
+        f"instruction count diverges: {context}")
+    assert dict(got.counts) == dict(want.counts), (
+        f"per-opcode counts diverge: {context}")
+
+
 @pytest.mark.parametrize("seed", range(FUZZ_N))
 def test_differential_fuzz_kernel(seed):
     kernel = generate_kernel(seed)
     context = f"seed={seed} gang={kernel.gang_size}\n{kernel.source}"
 
     plain = compile_parsimony(kernel.source)
-    plain_out, plain_stats = _run(plain, seed)
+    plain_out = _tiered_differential(kernel, plain, seed, context)
 
     if kernel.has_reduction or kernel.has_shuffle:
         # Cross-lane communication (reductions, lane exchanges) has no
@@ -193,10 +206,6 @@ def test_differential_fuzz_kernel(seed):
     if seed % _BATCH_EVERY == 0:
         _batched_differential(kernel, seed, plain_out, context)
 
-    if seed % _CODEGEN_EVERY == 2:
-        _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
-                              context)
-
     if seed % _XPROC_EVERY == 1:
         _cross_process_differential(kernel, seed, plain_out, context)
 
@@ -226,40 +235,36 @@ def _batched_differential(kernel, seed, plain_out, context):
     got_out, got_stats = _run(batched, seed)
     _assert_same(ref_out, plain_out, f"unbatched vs plain: {context}")
     _assert_same(got_out, ref_out, f"batched vs unbatched: {context}")
-    assert got_stats.cycles == ref_stats.cycles, (
-        f"batched cycles diverge: {context}")
-    assert got_stats.instructions == ref_stats.instructions, (
-        f"batched instruction count diverges: {context}")
-    assert dict(got_stats.counts) == dict(ref_stats.counts), (
-        f"batched per-opcode counts diverge: {context}")
+    _assert_same_stats(got_stats, ref_stats, f"batched vs unbatched: {context}")
 
 
-def _codegen_differential(kernel, plain, seed, plain_out, plain_stats,
-                          context):
-    """Whole-kernel codegen engine vs decoded engine on the same module:
-    outputs and ExecStats must agree bitwise (accounting transparency is
-    the codegen contract — block-merged charges sum to the exact decoded
-    totals because every per-instruction cost is a dyadic rational)."""
-    A, B, C, OUT, IOUT, sv, si = workload_arrays(seed)
-    interp = Interpreter(plain, codegen=True)
-    addrs = [interp.memory.alloc_array(a) for a in (A, B, C, OUT, IOUT)]
-    interp.run("kernel", *addrs, sv, si, N_THREADS)
-    got_out = (
-        interp.memory.read_array(addrs[3], np.float32, N_THREADS),
-        interp.memory.read_array(addrs[4], np.int32, N_THREADS),
-    )
-    report = interp.codegen_report()
-    _CODEGEN_CORPUS["bailed" if report["bailouts"] else "compiled"] += 1
+def _tiered_differential(kernel, plain, seed, context):
+    """The default engine's two tiers vs the reference engine on the same
+    module: the first launch runs decoded, the second whole-kernel codegen,
+    and both must match the reference bitwise in outputs and ExecStats
+    (codegen's block-merged charges sum to the exact reference totals
+    because every per-instruction cost is a dyadic rational).  Returns the
+    reference outputs."""
+    ref_out, ref = _launch(plain, seed, predecode=False)
+    fresh = plain.get("kernel").launches == 0
+    first_out, first = _launch(plain, seed)
+    second_out, second = _launch(plain, seed)
+    if fresh:
+        assert first.codegen_stats["calls"] == 0, (
+            f"first launch ran codegen: {context}")
+    report = second.codegen_report()
+    compiled = not report["bailouts"]
+    _CODEGEN_CORPUS["compiled" if compiled else "bailed"] += 1
+    if compiled:
+        assert report["calls"] > 0, f"second launch ran decoded: {context}"
     if kernel.has_shuffle:
         _CODEGEN_CORPUS["shuffle"] += 1
-    _assert_same(got_out, plain_out, f"codegen vs decoded: {context}")
-    got_stats = interp.stats
-    assert got_stats.cycles == plain_stats.cycles, (
-        f"codegen cycles diverge: {context}")
-    assert got_stats.instructions == plain_stats.instructions, (
-        f"codegen instruction count diverges: {context}")
-    assert dict(got_stats.counts) == dict(plain_stats.counts), (
-        f"codegen per-opcode counts diverge: {context}")
+    for tier, out, interp in (("decoded", first_out, first),
+                              ("codegen", second_out, second)):
+        _assert_same(out, ref_out, f"{tier} tier vs reference: {context}")
+        _assert_same_stats(interp.stats, ref.stats,
+                           f"{tier} tier vs reference: {context}")
+    return ref_out
 
 
 def _run_sharded(module, seed, shards=3):
@@ -323,12 +328,7 @@ def _cross_process_differential(kernel, seed, plain_out, context):
     got_out, got_stats, report = _run_sharded(module, seed)
     _XPROC_CORPUS["sharded" if report["mode"] == "sharded" else "rejected"] += 1
     _assert_same(got_out, ref_out, f"sharded vs in-process: {context}")
-    assert got_stats.cycles == ref_stats.cycles, (
-        f"sharded cycles diverge: {context}")
-    assert got_stats.instructions == ref_stats.instructions, (
-        f"sharded instruction count diverges: {context}")
-    assert dict(got_stats.counts) == dict(ref_stats.counts), (
-        f"sharded per-opcode counts diverge: {context}")
+    _assert_same_stats(got_stats, ref_stats, f"sharded vs in-process: {context}")
 
 
 def test_zz_corpus_exercised_partial_fallback():
@@ -349,16 +349,13 @@ def test_zz_corpus_exercised_batching():
 
 
 def test_zz_corpus_exercised_codegen():
-    """The forced-codegen differential must have run on every Nth seed and
-    actually compiled kernels (bailouts are legal, but a corpus where the
-    whole-kernel engine never engages fuzzes a dead layer)."""
-    expected = len([s for s in range(FUZZ_N) if s % _CODEGEN_EVERY == 2])
-    if expected == 0:
-        pytest.skip("FUZZ_N too small for the codegen cadence")
-    assert _CODEGEN_CORPUS["compiled"] + _CODEGEN_CORPUS["bailed"] == expected
+    """Every seed's second default launch must have tiered up, and the
+    corpus must actually compile kernels (bailouts are legal, but a corpus
+    where the whole-kernel engine never engages fuzzes a dead layer)."""
+    assert _CODEGEN_CORPUS["compiled"] + _CODEGEN_CORPUS["bailed"] == FUZZ_N
     assert _CODEGEN_CORPUS["compiled"] > 0, _CODEGEN_CORPUS
-    if expected >= 20:
-        # Cross-lane exchange kernels must flow through the codegen leg
+    if FUZZ_N >= 20:
+        # Cross-lane exchange kernels must flow through the codegen tier
         # (p≈0.3 per seed: 20 draws miss with probability < 0.1%).
         assert _CODEGEN_CORPUS["shuffle"] > 0, _CODEGEN_CORPUS
 

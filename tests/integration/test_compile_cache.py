@@ -13,8 +13,9 @@ import pytest
 
 from repro import driver
 from repro.autovec import auto_vectorize_module
-from repro.backend import AVX2, legalize_module
+from repro.backend import AVX2, SSE4, legalize_module
 from repro.backend.batch import batch_module
+from repro.diagnostics import CompileError
 from repro.ir import ExternalFunction, Function, FunctionType, I32, SealedModuleError
 from repro.ir.printer import print_module
 from repro.passes import (
@@ -118,18 +119,25 @@ def test_every_flow_seals_its_cached_module(flow):
 def test_clone_of_a_hit_is_mutable_and_leaves_later_hits_unchanged():
     cached = driver.compile_parsimony(SRC)
     before = print_module(cached)
+    twin_before = print_module(cached.attrs["batch_fallback"])
     clone = clone_module(cached)
     assert not clone.sealed
-    assert not clone.attrs["batch_fallback"].sealed
+    twin = clone.attrs["batch_fallback"]
+    assert not twin.sealed
 
-    # Legalizing to 256-bit vectors rewrites the 8 x u32 gang ops in place.
-    assert legalize_module(clone, AVX2)
-    assert print_module(clone) != before
-    np.testing.assert_array_equal(_run(clone), np.arange(8, dtype=np.uint32) * 3)
+    # Legalization refuses the batched clone itself; legalizing its
+    # unbatched twin to 128-bit vectors rewrites the 8 x u32 gang ops in
+    # place.
+    with pytest.raises(CompileError, match="gang-batched"):
+        legalize_module(clone, AVX2)
+    assert legalize_module(twin, SSE4)
+    assert print_module(twin) != twin_before
+    np.testing.assert_array_equal(_run(twin), np.arange(8, dtype=np.uint32) * 3)
 
     hit = driver.compile_parsimony(SRC)
     assert hit is cached
     assert print_module(hit) == before
+    assert print_module(hit.attrs["batch_fallback"]) == twin_before
     np.testing.assert_array_equal(_run(hit), np.arange(8, dtype=np.uint32) * 3)
 
 

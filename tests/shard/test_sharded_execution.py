@@ -19,14 +19,17 @@ from repro import diskcache, faultinject, shard, telemetry
 from repro.benchsuite.ispc_suite import BENCHMARKS
 from repro.benchsuite.runner import _GUARD_BYTES, build_impl, run_impl
 from repro.diagnostics import ExecutionError, ReproWarning
-from repro.driver import compile_parsimony
+from repro.driver import clone_module, compile_parsimony
 from repro.vm import Interpreter
 
 _SPECS = {spec.name: spec for spec in BENCHMARKS}
 
 
 def _setup(module, workload):
-    interp = Interpreter(module)
+    # Shard workers run the decoded engine; pin the in-process baseline to
+    # it too, or a relaunched (cached) module tiers up to codegen and its
+    # fusion telemetry has nothing to match.
+    interp = Interpreter(module, codegen=False)
     addrs = []
     for array in workload.arrays:
         addrs.append(interp.memory.alloc_array(array))
@@ -52,6 +55,10 @@ def _baseline(module, workload):
 
 
 def _sharded(module, workload, **kwargs):
+    # A rejected launch runs in-process on the default engine; a fresh
+    # copy keeps that its first launch, on the decoded engine the baseline
+    # pins, instead of a codegen tier-up of the shared cached module.
+    module = clone_module(module)
     interp, addrs = _setup(module, workload)
     result = shard.run_sharded(
         module, "kernel", (*addrs, *workload.scalars),

@@ -17,6 +17,8 @@ Covered here:
 - mask-seam kernels: nested divergent loops, break/continue lowering,
   masked early exit, and an IR-level early ``ret`` under a branch;
 - fault injection at the ``codegen`` site (bails to the decoded engine);
+- the default tier rule (decoded first launch, codegen from the second)
+  and the per-function emission memo;
 - ``REPRO_NO_CODEGEN=1`` escape hatch restores the prior engine exactly;
 - disk-cache rehydration of the generated source in a child process;
 - unparsable engine env flags emit a structured ``ReproWarning``.
@@ -549,6 +551,9 @@ def test_bailout_memo_keyed_by_batch_fingerprint():
             ins.attrs.pop("batch_charges", None)
     source, bindings = cg.emit_function(interp, f)  # must NOT replay
     assert "_kfn" in source
+    # The emission replaced the stale bailout: one entry per machine and
+    # cost model, however often the function changes.
+    assert len(f.emit_memo) == 1 and f.emit_memo[0][5] is None
 
     # And the plain configuration actually runs, bitwise.
     _run_scalar_pair(module, f, [(3,), (12,)])
@@ -592,6 +597,110 @@ def test_active_fault_plan_disarms_codegen():
     assert interp.codegen_report()["calls"] == 0
 
 
+# -- default tier rule --------------------------------------------------------
+
+def _tier_module(tag):
+    """A fresh (never launched) compile-cache module of ``TRAP_SRC``."""
+    module = compile_parsimony(TRAP_SRC.replace("1.0f", f"{tag}.0f"))
+    assert module.get("kernel").launches == 0
+    return module
+
+
+def _tier_launch(module, **engine):
+    interp = Interpreter(module, **engine)
+    addr = interp.memory.alloc_array(np.zeros(37, np.float32))
+    interp.run("kernel", addr, 37)
+    return interp, interp.memory.read_array(addr, np.float32, 37)
+
+
+def test_default_engine_tiers_up_on_second_launch(monkeypatch):
+    """The default engine runs a kernel's first launch decoded and its
+    second through codegen; the launch count lives on the function, so
+    separate interpreters over the shared module see it.  Both tiers
+    match the reference engine bitwise."""
+    monkeypatch.delenv("REPRO_NO_CODEGEN", raising=False)
+    module = _tier_module(3)
+    ref, want = _tier_launch(module, predecode=False)
+    first, got1 = _tier_launch(module)
+    second, got2 = _tier_launch(module)
+    assert first.codegen and first.codegen_stats["calls"] == 0
+    assert first.codegen_stats["compiles"] == 0  # nothing emitted yet
+    assert second.codegen_stats["calls"] > 0, second.codegen_report()
+    assert module.get("kernel").launches == 2
+    for interp, got in ((first, got1), (second, got2)):
+        np.testing.assert_array_equal(got, want)
+        assert interp.stats.cycles == ref.stats.cycles
+        assert interp.stats.instructions == ref.stats.instructions
+        assert dict(interp.stats.counts) == dict(ref.stats.counts)
+
+
+def test_explicit_codegen_arms_first_launch(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_CODEGEN", raising=False)
+    interp, _ = _tier_launch(_tier_module(5), codegen=True)
+    assert interp.codegen_stats["calls"] > 0, interp.codegen_report()
+
+
+def test_codegen_false_and_escape_hatch_never_tier_up(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_CODEGEN", raising=False)
+    module = _tier_module(6)
+    for _ in range(3):
+        interp, _ = _tier_launch(module, codegen=False)
+        assert interp.codegen_stats["calls"] == 0
+    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
+    for engine in ({}, {"codegen": True}):
+        for _ in range(2):
+            interp, _ = _tier_launch(module, **engine)
+            assert interp.codegen_stats["calls"] == 0
+
+
+def test_emit_memo_is_per_object_vm_state():
+    """The emission memo and launch count belong to one ``Function``
+    object: clones and pickled copies start fresh, and neither shows up
+    in the IR the paranoid fingerprint hashes."""
+    from repro.driver import _fingerprint, clone_module
+
+    module = _tier_module(7)
+    fingerprint = _fingerprint(module)
+    _tier_launch(module)
+    _tier_launch(module)
+    kernel = module.get("kernel")
+    assert kernel.launches == 2 and len(kernel.emit_memo) == 1
+    assert _fingerprint(module) == fingerprint
+    for copy in (clone_module(module),
+                 diskcache.loads_module(diskcache.dumps_module(module))):
+        fresh = copy.get("kernel")
+        assert fresh.launches == 0 and fresh.emit_memo == []
+    # A fresh interpreter reuses the memoized emission.
+    interp = Interpreter(module, codegen=True)
+    cg.emit_function(interp, kernel)
+    assert len(kernel.emit_memo) == 1
+
+
+def test_default_engine_clear_decode_cache_drops_stale_emission(monkeypatch):
+    """Mutating an unsealed module in place and calling
+    ``clear_decode_cache`` must re-emit: an opcode rewrite leaves the
+    memo's count/batch guard unchanged, so the memo has to go too."""
+    monkeypatch.delenv("REPRO_NO_CODEGEN", raising=False)
+    module = Module("t")
+    f = Function("f", FunctionType(I32, (I32, I32)), ["x", "y"])
+    module.add_function(f)
+    b = IRBuilder(f, f.add_block("entry"))
+    b.ret(b.binop("mul", b.binop("add", f.args[0], f.args[1]), f.args[1]))
+    verify_function(f)
+    interp = Interpreter(module)
+    assert interp.run("f", 3, 5) == (3 + 5) * 5  # decoded tier
+    assert interp.run("f", 3, 5) == (3 + 5) * 5  # codegen tier
+    calls = interp.codegen_stats["calls"]
+    assert calls > 0 and f.emit_memo, interp.codegen_report()
+
+    add, mul = f.blocks[0].instructions[:2]
+    add.opcode, mul.opcode = "sub", "xor"
+    interp.clear_decode_cache()
+    assert f.emit_memo == []
+    assert interp.run("f", 3, 5) == ((3 - 5) & 0xFFFFFFFF) ^ 5
+    assert interp.codegen_stats["calls"] > calls, interp.codegen_report()
+
+
 # -- escape hatch -------------------------------------------------------------
 
 def test_no_codegen_escape_hatch(monkeypatch):
@@ -624,7 +733,8 @@ def test_unparsable_engine_flags_warn(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CODEGEN", "yes-please")
     with pytest.warns(ReproWarning, match="REPRO_NO_CODEGEN"):
         interp = Interpreter(module)
-    assert interp.codegen is False  # default kept
+    # The flag's default (unset) is kept, so codegen stays enabled.
+    assert interp.codegen is True
     monkeypatch.delenv("REPRO_NO_CODEGEN")
 
     monkeypatch.setenv("REPRO_NO_FUSE", "nope")

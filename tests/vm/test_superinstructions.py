@@ -32,10 +32,13 @@ ENGINES = ("fused", "unfused", "reference")
 
 
 def _interp(module, mode, **kwargs):
+    # codegen=False: these tests relaunch one module, and a reused kernel
+    # would otherwise tier up past the decoded engine under test.
     return Interpreter(
         module,
         predecode=mode != "reference",
         superinstructions=mode == "fused",
+        codegen=False,
         **kwargs,
     )
 
@@ -301,7 +304,7 @@ def test_budget_trap_mid_memory_window_leaves_exact_state():
 
 def test_clear_decode_cache_invalidates_fused_blocks():
     module = _binop_chain_module(("add", "mul"), I32)
-    interp = Interpreter(module, superinstructions=True)
+    interp = Interpreter(module, superinstructions=True, codegen=False)
     assert interp.run("f", 3, 5) == (3 + 5) * 5
     assert interp.fuse_static.get("window", 0) > 0
 

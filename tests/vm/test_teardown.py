@@ -7,7 +7,11 @@ the interpreter.  A cycle would keep each request's 4 MiB memory alive
 until the next cyclic collection.  Every test runs with the cyclic
 collector disabled and checks weak references right after ``del``.
 Fused windows and generated kernels therefore bind the instruction
-budget by value; the last test checks that changing it still applies.
+budget by value; a test checks that changing it still applies.
+
+The same holds one level up: a compiled module's codegen emissions live
+on its functions (``Function.emit_memo``), so no process-wide table may
+keep a module alive after the compile cache drops it.
 """
 
 import gc
@@ -16,7 +20,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.driver import compile_parsimony
+from repro.driver import clear_compile_cache, compile_parsimony
 from repro.ir import I32, Function, FunctionType, IRBuilder, Module, verify_function
 from repro.vm import ExecutionLimitExceeded, Interpreter
 
@@ -91,7 +95,10 @@ def test_reference_engine_frees_by_refcount():
 
 
 def test_decoded_fused_engine_frees_by_refcount():
-    interp = _launch(compile_parsimony(SRC), superinstructions=True)
+    # codegen=False: SRC's module is shared, and a launch of it elsewhere
+    # would otherwise tier this one up past the fused engine.
+    interp = _launch(compile_parsimony(SRC), superinstructions=True,
+                     codegen=False)
     assert interp.fuse_static.get("window", 0) > 0
     refs = _weakrefs(interp)
     del interp
@@ -169,3 +176,43 @@ def test_budget_set_after_decode_applies(engine):
     reused.run("kernel", a, out, 256)
     reused.max_instructions = 2_000
     assert trap(reused) == trap(Interpreter(module, max_instructions=2_000, **engine))
+
+
+def _launch_twice(module):
+    """Two default-engine launches: the decoded tier, then codegen."""
+    first = _launch(module)
+    second = _launch(module)
+    assert first.codegen_stats["calls"] == 0, first.codegen_report()
+    assert second.codegen_stats["calls"] >= 1, second.codegen_report()
+
+
+def test_tiered_module_freed_after_cache_clear():
+    """A module that tiered up to codegen dies with the compile cache: its
+    emission memo rides on its own functions, not in a global table."""
+    module = compile_parsimony(SRC.replace("1.0f", "3.0f"))
+    _launch_twice(module)
+    assert module.get("kernel").emit_memo
+    refs = {"module": weakref.ref(module),
+            "kernel": weakref.ref(module.get("kernel"))}
+    del module
+    clear_compile_cache()
+    gc.collect()
+    assert _alive(refs) == []
+
+
+def test_many_tiered_kernels_pin_no_modules():
+    """More kernels than the compile cache holds, each launched twice:
+    every module the cache evicts is freed, and after a clear none
+    survives, so no process-wide state pins a module."""
+    refs = []
+    for k in range(70):
+        module = compile_parsimony(SRC.replace("1.0f", f"{k + 5}.0f"))
+        _launch_twice(module)
+        refs.append(weakref.ref(module.get("kernel")))
+        del module
+    gc.collect()
+    alive = [k for k, ref in enumerate(refs) if ref() is not None]
+    assert len(alive) <= 64 and alive == list(range(70 - len(alive), 70))
+    clear_compile_cache()
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
